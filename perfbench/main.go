@@ -54,8 +54,8 @@ func defaultConfig() config {
 	return config{
 		setups:        3,
 		warmup:        1500 * time.Millisecond,
-		batchProbes:   2,
-		refreshProbes: 2,
+		batchProbes:   3,
+		refreshProbes: 3,
 		ladderReps:    15,
 		localReps:     3,
 	}
