@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -73,9 +74,7 @@ func refreshMS(runs []refreshRun) []float64 {
 // counts returns the operations attempted and failed over the whole run:
 // every message signed or attempted, warm-up included, and every refresh.
 func (r *runner) counts() (attempted, failed int) {
-	recs := append([]*record(nil), r.warmRecs...)
-	recs = append(recs, r.probes.batches...)
-	recs = append(recs, r.afterRefresh...)
+	recs := slices.Concat(r.warmRecs, r.windowRecs, r.probes.batches, r.afterRefresh)
 	for _, p := range r.phases {
 		recs = append(recs, p.records...)
 	}
@@ -83,13 +82,18 @@ func (r *runner) counts() (attempted, failed int) {
 		attempted += len(rec.msgs)
 		failed += rec.failed
 	}
-	for _, run := range append(append([]refreshRun(nil), r.refreshes...), r.probes.refreshes...) {
+	for _, run := range r.allRefreshes() {
 		attempted++
 		if run.err != nil {
 			failed++
 		}
 	}
 	return attempted, failed
+}
+
+// allRefreshes is every refresh of the run: warm-up, timed and probes.
+func (r *runner) allRefreshes() []refreshRun {
+	return slices.Concat(r.warmRefreshes, r.refreshes, r.probes.refreshes)
 }
 
 // endToEnd computes the untraced pass's metrics.
@@ -234,9 +238,9 @@ func (r *runner) perLayer(spans []span, rungs []rung, keygenMS, refreshMS float6
 		}
 	}
 
-	// Protocol sessions of every refresh, timed or probe.
+	// Protocol sessions of every traced refresh, timed or probe.
 	var protoStart, protoStep, protoFinish []float64
-	runs := append(append([]refreshRun(nil), r.refreshes...), r.probes.refreshes...)
+	runs := slices.Concat(r.refreshes, r.probes.refreshes)
 	rounds := 0
 	for _, run := range runs {
 		rounds += run.rounds
@@ -281,6 +285,14 @@ func (r *runner) perLayer(spans []span, rungs []rung, keygenMS, refreshMS float6
 		}
 	}
 
+	var windowLat []float64
+	for _, rec := range r.windowRecs {
+		if rec.failed == 0 {
+			windowLat = append(windowLat, rec.latencyMS())
+		}
+	}
+	windowTail, windowPct := tail(windowLat)
+
 	rung := map[string]rung{}
 	for _, g := range rungs {
 		rung[g.name] = g
@@ -315,6 +327,8 @@ func (r *runner) perLayer(spans []span, rungs []rung, keygenMS, refreshMS float6
 		{name: "proto.msgs_per_run", value: div(all["tsig_proto_broadcast_messages_total"]+all["tsig_proto_unicast_messages_total"], float64(len(runs))), unit: "count"},
 		{name: "precompute.rebuilds_per_refresh", value: div(all["tsig_pairing_precompute_rebuilds_total"], float64(len(runs))), unit: "count"},
 		{name: "kms.first_sign_after_refresh_ms", value: median(recordMS(r.afterRefresh)), unit: "ms"},
+		{name: "kms.sign_during_refresh_p50_ms", value: orZero(median(windowLat)), unit: "ms", note: fmt.Sprintf("%d calls started with a refresh", len(windowLat))},
+		{name: "kms.sign_during_refresh_tail_ms", value: orZero(windowTail), unit: "ms", note: fmt.Sprintf("p%.2f of n=%d (%d samples beyond)", windowPct, len(windowLat), tailBeyond)},
 		{name: "registry.hot_hit_ratio", value: div(all["tsig_registry_hot_hits_total"], all["tsig_registry_hot_hits_total"]+all["tsig_registry_hot_misses_total"]), unit: "ratio"},
 		{name: "registry.manifest_rewrites", value: all["tsig_registry_manifest_rewrites_total"], unit: "count"},
 		{name: "dkg.local_keygen_ms", value: keygenMS, unit: "ms"},
@@ -348,6 +362,14 @@ func (r *runner) perLayer(spans []span, rungs []rung, keygenMS, refreshMS float6
 }
 
 func ms(ns int64) float64 { return float64(ns) / 1e6 }
+
+// orZero is x, or 0 when x is NaN (the layer did no work in this run).
+func orZero(x float64) float64 {
+	if math.IsNaN(x) {
+		return 0
+	}
+	return x
+}
 
 // div is a/b, or 0 when b is 0 (the layer did no work in this run).
 func div(a, b float64) float64 {

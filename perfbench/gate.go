@@ -2,17 +2,23 @@ package main
 
 import (
 	"context"
+	crand "crypto/rand"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 
 	tsig "repro"
+	"repro/internal/core"
 )
 
 // tamperSamples is how many returned signatures the gate also checks
 // against a tampered message, which must fail to verify.
 const tamperSamples = 16
+
+// gateBatch is how many signatures of one tenant the gate verifies with
+// one batch verification.
+const gateBatch = 32
 
 // signed is one returned signature to check.
 type signed struct {
@@ -55,25 +61,54 @@ func (r *runner) gate(ctx context.Context) (checked int, problems []string) {
 		add(p.records)
 	}
 	add(r.warmRecs)
+	add(r.windowRecs)
 	add(r.probes.batches)
 	add(r.afterRefresh)
 
+	// Signatures are checked in batches of one tenant (one multi-pairing
+	// each); a batch that fails is checked one signature at a time, so
+	// that every bad one is named.
+	var chunks [][]signed
+	for t := range pks {
+		var chunk []signed
+		for _, s := range all {
+			if s.tenant != t {
+				continue
+			}
+			if chunk = append(chunk, s); len(chunk) == gateBatch {
+				chunks, chunk = append(chunks, chunk), nil
+			}
+		}
+		if len(chunk) > 0 {
+			chunks = append(chunks, chunk)
+		}
+	}
 	bad := make(chan string, len(all))
-	work := make(chan signed)
+	work := make(chan []signed)
 	var wg sync.WaitGroup
 	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range work {
-				if !pks[s.tenant].Verify(s.msg, s.sig) {
-					bad <- fmt.Sprintf("signature on %q for %s does not verify", s.msg, r.tenantID[s.tenant])
+			for chunk := range work {
+				pk := pks[chunk[0].tenant]
+				entries := make([]core.BatchEntry, len(chunk))
+				for i, s := range chunk {
+					entries[i] = core.BatchEntry{Msg: s.msg, Sig: s.sig}
+				}
+				if ok, err := core.BatchVerify(pk, entries, crand.Reader); ok && err == nil {
+					continue
+				}
+				for _, s := range chunk {
+					if !pk.Verify(s.msg, s.sig) {
+						bad <- fmt.Sprintf("signature on %q for %s does not verify", s.msg, r.tenantID[s.tenant])
+					}
 				}
 			}
 		}()
 	}
-	for _, s := range all {
-		work <- s
+	for _, c := range chunks {
+		work <- c
 	}
 	close(work)
 	wg.Wait()

@@ -52,10 +52,9 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		setups:        3,
 		warmup:        1500 * time.Millisecond,
-		batchProbes:   3,
-		refreshProbes: 3,
+		batchProbes:   1,
+		refreshProbes: 2,
 		ladderReps:    15,
 		localReps:     3,
 	}
@@ -83,6 +82,7 @@ func main() {
 	flag.IntVar(&trace, "trace", 0, "1 for the traced pass with per-layer metrics")
 	flag.Parse()
 	cfg.trace = trace == 1
+	cfg.setups = setupsFor(cfg.workload)
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
@@ -114,6 +114,7 @@ func run(ctx context.Context, cfg config, rep io.Writer) (*result, error) {
 	fpJSON, _ := json.Marshal(fp)
 	fmt.Fprintf(rep, "perfbench %s seed=%d seconds=%g trace=%v\nhost: %s\n", cfg.workload, cfg.seed, cfg.seconds, cfg.trace, fpJSON)
 
+	t0 := time.Now()
 	r := &runner{cfg: cfg, workers: runtime.NumCPU()}
 	if cfg.trace {
 		r.tr = newTracer()
@@ -123,6 +124,7 @@ func run(ctx context.Context, cfg config, rep io.Writer) (*result, error) {
 	}
 	defer r.fleet.close()
 
+	t1 := time.Now()
 	workload := map[string]func(context.Context) error{
 		"sign-open": r.runSignOpen,
 		"sign-bulk": r.runSignBulk,
@@ -132,6 +134,7 @@ func run(ctx context.Context, cfg config, rep io.Writer) (*result, error) {
 		return nil, err
 	}
 
+	t2 := time.Now()
 	checked, problems := r.gate(ctx)
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -140,7 +143,9 @@ func run(ctx context.Context, cfg config, rep io.Writer) (*result, error) {
 		return nil, fmt.Errorf("correctness gate failed: %d problems (first: %s)", len(problems), problems[0])
 	}
 	fmt.Fprintf(rep, "correctness: %d signatures verified under their tenants' fetched keys, %d tampered messages rejected, %d refreshes kept the key\n",
-		checked, min(tamperSamples, checked), len(r.refreshes)+len(r.probes.refreshes))
+		checked, min(tamperSamples, checked), len(r.allRefreshes()))
+
+	fmt.Fprintf(rep, "wall time: set-up %.1fs, workload %.1fs, gate %.1fs\n", t1.Sub(t0).Seconds(), t2.Sub(t1).Seconds(), time.Since(t2).Seconds())
 
 	attempted, failed := r.counts()
 	for _, f := range r.failures {

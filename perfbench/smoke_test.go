@@ -97,13 +97,14 @@ func TestSmokeWorkloads(t *testing.T) {
 }
 
 // TestScheduleReproducible checks that a seed fixes the messages and
-// the arrival schedule, and that another seed changes them.
+// the arrival schedule of a phase, warm-up and slices, and that another
+// seed changes them.
 func TestScheduleReproducible(t *testing.T) {
-	gen := func(seed int64) ([]arrival, [][]byte) {
-		r := &runner{cfg: config{seed: seed}}
-		sched := openSchedule(r.scheduleRNG("loaded"), "loaded", churnRate, 5*time.Second, churnTenants, churnRepeat)
+	gen := func(seed int64) ([][]arrival, [][]byte) {
+		r := &runner{cfg: config{seed: seed, seconds: 8, warmup: time.Second}}
+		warm, parts := r.phaseSchedule("loaded", churnLightRate, churnTenants, churnRepeat)
 		next := r.batchSource("loaded")
-		return sched, append(next(), next()...)
+		return append([][]arrival{warm}, parts...), append(next(), next()...)
 	}
 	s1, b1 := gen(42)
 	s2, b2 := gen(42)
@@ -114,16 +115,19 @@ func TestScheduleReproducible(t *testing.T) {
 	if reflect.DeepEqual(s1, s3) || reflect.DeepEqual(b1, b3) {
 		t.Fatal("different seeds gave the same schedule")
 	}
-	repeats := 0
-	for i, a := range s1 {
-		if i > 0 && a.At < s1[i-1].At {
-			t.Fatalf("arrival %d is due before arrival %d", i, i-1)
-		}
-		if a.Repeat {
-			repeats++
+	repeats, n := 0, 0
+	for _, part := range s1 {
+		for i, a := range part {
+			if i > 0 && a.At < part[i-1].At {
+				t.Fatalf("arrival %d is due before arrival %d", i, i-1)
+			}
+			if a.Repeat {
+				repeats++
+			}
+			n++
 		}
 	}
-	if share := float64(repeats) / float64(len(s1)); share < churnRepeat-0.15 || share > churnRepeat+0.05 {
+	if share := float64(repeats) / float64(n); share < churnRepeat-0.05 || share > churnRepeat {
 		t.Errorf("repeat share %.2f, want about %.2f", share, churnRepeat)
 	}
 }

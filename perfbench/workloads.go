@@ -35,14 +35,16 @@ const (
 
 	bulkBatch = 16 // messages per SignBatch on sign-bulk and in the batch probe
 
-	churnTenants = 4
-	churnRate    = 12.0 // kms-churn requests/s over all tenants, both phases
-	churnRepeat  = 0.85 // share of kms-churn requests repeating a recent message
-	churnRecent  = 8    // how far back a repeat may reach, per tenant
+	churnTenants    = 4
+	churnLightRate  = 12.0                    // kms-churn light phase and refresh windows, requests/s over all tenants
+	churnLoadedRate = 24.0                    // kms-churn loaded phase, requests/s over all tenants
+	churnRepeat     = 0.85                    // share of kms-churn requests repeating a recent message
+	churnRecent     = 8                       // how far back a repeat may reach, per tenant
+	churnWindow     = 1200 * time.Millisecond // signing traffic started with each kms-churn refresh
 
-	churnRefreshes = 1 // proactive refreshes in each kms-churn loaded slice
+	warmBatch = 2 // messages in the untimed SignBatch of each probe slot
 
-	phaseSlices = 3 // each phase is timed in this many slices, alternating with the other
+	phaseSlices = 4 // each phase is timed in this many slices, alternating with the other
 
 	requestTimeout = 30 * time.Second
 )
@@ -62,9 +64,10 @@ type arrival struct {
 
 // openSchedule draws n = rate·dur arrivals as a Poisson process
 // conditioned on its count (sorted uniform offsets), spread uniformly
-// over tenants. With repeat > 0 that share of requests re-sends one of
-// the tenant's last churnRecent distinct messages. Everything derives
-// from rng, so a seed fixes the schedule.
+// over tenants. With repeat > 0, round(repeat·n) requests drawn at
+// random re-send one of the tenant's last churnRecent distinct messages
+// (unless the tenant has none yet). Everything derives from rng, so a
+// seed fixes the schedule.
 func openSchedule(rng *rand.Rand, tag string, rate float64, dur time.Duration, tenants int, repeat float64) []arrival {
 	n := int(rate*dur.Seconds() + 0.5)
 	if n < 1 {
@@ -75,11 +78,15 @@ func openSchedule(rng *rand.Rand, tag string, rate float64, dur time.Duration, t
 		offsets[i] = rng.Float64() * float64(dur)
 	}
 	sort.Float64s(offsets)
+	repeats := make([]bool, n)
+	for _, i := range rng.Perm(n)[:int(repeat*float64(n)+0.5)] {
+		repeats[i] = true
+	}
 	recent := make([][][]byte, tenants)
 	out := make([]arrival, n)
 	for i := range out {
 		a := arrival{At: time.Duration(offsets[i]), Tenant: rng.Intn(tenants)}
-		if r := recent[a.Tenant]; len(r) > 0 && rng.Float64() < repeat {
+		if r := recent[a.Tenant]; len(r) > 0 && repeats[i] {
 			a.Msg, a.Repeat = r[rng.Intn(len(r))], true
 		} else {
 			a.Msg = seededMessage(rng, tag, i)
@@ -150,10 +157,13 @@ type runner struct {
 	ridSeq   atomic.Int64
 	workers  int
 
-	setupS    []float64
-	phases    []*phase
-	refreshes []refreshRun
-	probes    struct {
+	setupS        []float64
+	phases        []*phase
+	warmRefreshes []refreshRun // one untimed, untraced refresh of each kms-churn tenant
+	refreshes     []refreshRun // kms-churn refreshes under signing traffic
+	windows       [][]arrival  // kms-churn signing traffic during each refresh
+	windowRecs    []*record    // what that traffic returned
+	probes        struct {
 		batches   []*record
 		refreshes []refreshRun
 	}
@@ -186,6 +196,16 @@ func tenantsFor(workload string) int {
 		return churnTenants
 	}
 	return 1
+}
+
+// setupsFor is how many times the workload sets its fleet up: fewer on
+// kms-churn, where one set-up mints four tenants on disk and takes
+// about 3 s.
+func setupsFor(workload string) int {
+	if workload == "kms-churn" {
+		return 3
+	}
+	return 5
 }
 
 // setup brings the fleet up cfg.setups times, keying it over HTTP each
@@ -263,6 +283,14 @@ func (r *runner) nextRID(always bool) string {
 		return tracedPrefix + strconv.FormatInt(seq, 10)
 	}
 	return untracedPrefix + strconv.FormatInt(seq, 10)
+}
+
+// untracedRID returns a request id the traced pass does not trace.
+func (r *runner) untracedRID() string {
+	if r.tr == nil {
+		return ""
+	}
+	return untracedPrefix + strconv.FormatInt(r.ridSeq.Add(1), 10)
 }
 
 // call runs one client call and records its span in the traced pass.
@@ -348,14 +376,14 @@ func (r *runner) signBatch(ctx context.Context, tenant int, msgs [][]byte, alway
 	return rec
 }
 
-// refresh runs one proactive refresh of a tenant and checks that its
-// public key survived.
-func (r *runner) refresh(ctx context.Context, tenant int) refreshRun {
+// refresh runs one proactive refresh of a tenant, under request id rid,
+// and checks that its public key survived.
+func (r *runner) refresh(ctx context.Context, tenant int, rid string) refreshRun {
 	var run refreshRun
 	var g *tsig.Group
 	var resp *service.ProtoRunResponse
 	var err error
-	run.start, run.end, run.err = r.call(ctx, r.nextRID(true), func(ctx context.Context) error {
+	run.start, run.end, run.err = r.call(ctx, rid, func(ctx context.Context) error {
 		g, resp, err = r.clients[tenant].RunRefresh(ctx)
 		return err
 	})
@@ -525,8 +553,8 @@ func (r *runner) sliceDur() time.Duration {
 
 // runPhases warms both shapes up, then times them in alternating slices,
 // light first, so that both sample the host over the whole run. Probes
-// run before the warm-up, after the first pair of slices and at the end.
-// slice runs slice k of phase i and returns its records and start.
+// run before the warm-up and after every slice, so that they sample it
+// too. slice runs slice k of phase i and returns its records and start.
 func (r *runner) runPhases(ctx context.Context, warm func(i int), slice func(i, k int) ([]*record, time.Time, time.Duration)) error {
 	if err := r.probe(ctx, 0); err != nil {
 		return err
@@ -546,9 +574,7 @@ func (r *runner) runPhases(ctx context.Context, warm func(i int), slice func(i, 
 			}); err != nil {
 				return err
 			}
-		}
-		if k == 0 || k == phaseSlices-1 {
-			if err := r.probe(ctx, k+1); err != nil {
+			if err := r.probe(ctx, 1+k*len(r.phases)+i); err != nil {
 				return err
 			}
 		}
@@ -566,16 +592,52 @@ func (r *runner) countWarm(recs []*record) {
 	r.warmRecs = append(r.warmRecs, recs...)
 }
 
+// phaseSchedule draws one phase's whole open-loop schedule, warm-up
+// and slices in a row, so that each tenant's recent messages carry over
+// from one part to the next. It returns the warm-up's arrivals and each
+// slice's, each timed from the start of its own part.
+func (r *runner) phaseSchedule(phase string, rate float64, tenants int, repeat float64) (warm []arrival, parts [][]arrival) {
+	parts = r.schedule(phase, rate, tenants, repeat, r.cfg.warmup, phaseSlices, r.sliceDur())
+	return parts[0], parts[1:]
+}
+
+// schedule draws one open-loop schedule of a first part of length
+// first followed by n parts of length each, and returns the arrivals of
+// every part, each timed from the start of its part.
+func (r *runner) schedule(tag string, rate float64, tenants int, repeat float64, first time.Duration, n int, each time.Duration) [][]arrival {
+	all := openSchedule(r.scheduleRNG(tag), tag, rate, first+time.Duration(n)*each, tenants, repeat)
+	parts := [][]arrival{window(all, 0, first)}
+	for k := 0; k < n; k++ {
+		from := first + time.Duration(k)*each
+		parts = append(parts, window(all, from, from+each))
+	}
+	return parts
+}
+
+// window returns the arrivals due in [from, to), timed from from.
+func window(sched []arrival, from, to time.Duration) []arrival {
+	var out []arrival
+	for _, a := range sched {
+		if a.At >= from && a.At < to {
+			a.At -= from
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // runSignOpen: one tenant, open-loop Poisson arrivals of distinct
 // messages at the light and the loaded rate.
 func (r *runner) runSignOpen(ctx context.Context) error {
-	rates := []float64{lightRate, loadedRate}
+	warm := make([][]arrival, len(phaseNames))
+	parts := make([][][]arrival, len(phaseNames))
+	for i, rate := range []float64{lightRate, loadedRate} {
+		warm[i], parts[i] = r.phaseSchedule(phaseNames[i], rate, 1, 0)
+	}
 	return r.runPhases(ctx, func(i int) {
-		tag := "warm-" + phaseNames[i]
-		r.warm(ctx, openSchedule(r.scheduleRNG(tag), tag, rates[i], r.cfg.warmup, 1, 0))
+		r.warm(ctx, warm[i])
 	}, func(i, k int) ([]*record, time.Time, time.Duration) {
-		tag := fmt.Sprintf("%s-%d", phaseNames[i], k)
-		return r.openLoop(ctx, openSchedule(r.scheduleRNG(tag), tag, rates[i], r.sliceDur(), 1, 0))
+		return r.openLoop(ctx, parts[i][k])
 	})
 }
 
@@ -593,66 +655,81 @@ func (r *runner) runSignBulk(ctx context.Context) error {
 }
 
 // runKMSChurn: churnTenants tenants on file-backed registries, open loop
-// over the tenants with churnRepeat of requests repeating a recent
-// message. Each loaded slice adds churnRefreshes proactive refreshes,
-// round robin over the tenants on a fixed schedule, while signing
-// continues; each refresh is followed by one fresh Sign of the
-// refreshed tenant.
+// over the tenants at the light and the loaded rate, with churnRepeat of
+// requests repeating a recent message. After every slice one proactive
+// refresh runs, round robin over the tenants, while churnWindow of
+// signing traffic at the light rate goes on; then one fresh Sign of the
+// refreshed tenant follows. The refreshes run between the slices, not in
+// them: a refresh stalls every signing request that needs a registry
+// lock while a key file is rewritten, and on a slow disk the number of
+// stalled requests straddled the tail's rank, so the tail swung between
+// runs (56-119 ms over ten). Their signing traffic is reported in the
+// traced pass. Before the warm-up every tenant is refreshed once: a
+// tenant's first refresh after its keygen rewrites fewer key files than
+// later ones and takes about half as long on a file-backed registry, so
+// the timed refreshes are all of the steady kind.
 func (r *runner) runKMSChurn(ctx context.Context) error {
-	rng := r.scheduleRNG("after-refresh")
+	warm := make([][]arrival, len(phaseNames))
+	parts := make([][][]arrival, len(phaseNames))
+	for i, rate := range []float64{churnLightRate, churnLoadedRate} {
+		warm[i], parts[i] = r.phaseSchedule(phaseNames[i], rate, churnTenants, churnRepeat)
+	}
+	r.windows = r.schedule("refresh", churnLightRate, churnTenants, churnRepeat, 0, 2*phaseSlices, churnWindow)[1:]
 	return r.runPhases(ctx, func(i int) {
-		tag := "warm-" + phaseNames[i]
-		r.warm(ctx, openSchedule(r.scheduleRNG(tag), tag, churnRate, r.cfg.warmup, churnTenants, churnRepeat))
-	}, func(i, k int) ([]*record, time.Time, time.Duration) {
-		tag := fmt.Sprintf("%s-%d", phaseNames[i], k)
-		sched := openSchedule(r.scheduleRNG(tag), tag, churnRate, r.sliceDur(), churnTenants, churnRepeat)
 		if i == 0 {
-			return r.openLoop(ctx, sched)
-		}
-		start := time.Now()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			every := r.sliceDur() / churnRefreshes
-			for j := 0; j < churnRefreshes; j++ {
-				time.Sleep(time.Until(start.Add(every/2 + time.Duration(j)*every)))
-				n := len(r.refreshes)
-				r.refreshes = append(r.refreshes, r.refresh(ctx, n%churnTenants))
-				r.afterRefresh = append(r.afterRefresh, r.sign(ctx, n%churnTenants, seededMessage(rng, "after-refresh", n), time.Time{}, true))
+			for t := 0; t < churnTenants; t++ {
+				r.warmRefreshes = append(r.warmRefreshes, r.refresh(ctx, t, r.untracedRID()))
 			}
-		}()
-		recs, start, late := r.openLoop(ctx, sched)
-		<-done
-		return recs, start, late
+		}
+		r.warm(ctx, warm[i])
+	}, func(i, k int) ([]*record, time.Time, time.Duration) {
+		return r.openLoop(ctx, parts[i][k])
 	})
 }
 
-// probe measures, on the quiet fleet between and around the timed
-// phases, the operations the workload itself does not exercise, so that
-// every workload reports every end-to-end metric: cfg.batchProbes
-// sequential SignBatch calls unless the workload batches (the first slot
-// starts with one untimed batch), and cfg.refreshProbes refreshes, each
-// followed by one fresh Sign, unless it refreshes. Spreading the probes
-// over the run samples the host at several moments.
+// refreshWindow runs the next kms-churn refresh while the k-th window of
+// signing traffic goes on, then one fresh Sign of the refreshed tenant.
+func (r *runner) refreshWindow(ctx context.Context, k int) {
+	n := len(r.refreshes)
+	done := make(chan refreshRun)
+	go func() { done <- r.refresh(ctx, n%churnTenants, r.nextRID(true)) }()
+	recs, _, _ := r.openLoop(ctx, r.windows[k])
+	r.refreshes = append(r.refreshes, <-done)
+	r.windowRecs = append(r.windowRecs, recs...)
+	msg := seededMessage(r.scheduleRNG(fmt.Sprintf("after-refresh-%d", n)), "after-refresh", n)
+	r.afterRefresh = append(r.afterRefresh, r.sign(ctx, n%churnTenants, msg, time.Time{}, true))
+}
+
+// probe runs, between and around the timed slices, the work the
+// workload's own traffic does not do, so that every workload reports
+// every end-to-end metric. On kms-churn (from slot 1 on) that is the
+// next refresh under signing traffic; elsewhere it is cfg.refreshProbes
+// refreshes on the quiet fleet, each followed by one fresh Sign. Then
+// one untimed SignBatch of warmBatch messages runs, because the first
+// batch after a refresh ran up to half again as long as the next
+// ones, and last, unless the workload batches, cfg.batchProbes timed
+// SignBatch calls. Spreading the probes over the run samples the host
+// at several moments.
 func (r *runner) probe(ctx context.Context, slot int) error {
 	before, err := r.fleet.scrapeAll(ctx)
 	if err != nil {
 		return err
 	}
-	if r.cfg.workload != "sign-bulk" {
-		next := r.batchSource(fmt.Sprintf("probe-%d", slot))
-		if slot == 0 {
-			r.countWarm([]*record{r.signBatch(ctx, 0, next(), true)})
-		}
-		for k := 0; k < r.cfg.batchProbes; k++ {
-			r.probes.batches = append(r.probes.batches, r.signBatch(ctx, 0, next(), true))
-		}
-	}
-	if r.cfg.workload != "kms-churn" {
+	switch {
+	case r.cfg.workload != "kms-churn":
 		rng := r.scheduleRNG(fmt.Sprintf("probe-refresh-%d", slot))
 		for k := 0; k < r.cfg.refreshProbes; k++ {
-			r.probes.refreshes = append(r.probes.refreshes, r.refresh(ctx, 0))
+			r.probes.refreshes = append(r.probes.refreshes, r.refresh(ctx, 0, r.nextRID(true)))
 			r.afterRefresh = append(r.afterRefresh, r.sign(ctx, 0, seededMessage(rng, "after-refresh", k), time.Time{}, true))
+		}
+	case slot > 0:
+		r.refreshWindow(ctx, slot-1)
+	}
+	next := r.batchSource(fmt.Sprintf("probe-%d", slot))
+	r.countWarm([]*record{r.signBatch(ctx, 0, next()[:warmBatch], false)})
+	if r.cfg.workload != "sign-bulk" {
+		for k := 0; k < r.cfg.batchProbes; k++ {
+			r.probes.batches = append(r.probes.batches, r.signBatch(ctx, 0, next(), true))
 		}
 	}
 	after, err := r.fleet.scrapeAll(ctx)
