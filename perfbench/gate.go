@@ -63,6 +63,7 @@ func (r *runner) gate(ctx context.Context) (checked int, problems []string) {
 	add(r.warmRecs)
 	add(r.windowRecs)
 	add(r.probes.batches)
+	add(r.probes.signs)
 	add(r.afterRefresh)
 
 	// Signatures are checked in batches of one tenant (one multi-pairing

@@ -3,7 +3,7 @@
 // coordinator, keys it with a distributed keygen over HTTP, and drives
 // it only through the public client package:
 //
-//	go run . --workload sign-open --seed 1 --seconds 24 --trace 0
+//	go run . --workload sign-open --seed 1 --seconds 22 --trace 0
 //
 // With --trace 0 it prints the end-to-end metrics; with --trace 1 it
 // reruns the workload with spans around every layer boundary and prints
@@ -38,12 +38,13 @@ type config struct {
 	root     string // repository root
 	buildDir string // where span dumps and registries go
 
-	setups        int           // fleet set-ups timed for setup_s
-	warmup        time.Duration // untimed traffic of each shape before the first slice
-	batchProbes   int           // SignBatch probes per slot on workloads that do not batch
-	refreshProbes int           // RunRefresh probes per slot on workloads that do not refresh
-	ladderReps    int           // calls per ladder rung
-	localReps     int           // in-process keygen/refresh repetitions
+	setups          int           // fleet set-ups timed for setup_s
+	warmup          time.Duration // untimed traffic of each shape before the first slice
+	batchProbes     int           // SignBatch probes per slot
+	signProbeRounds int           // Signs per client in each Sign throughput probe (open-loop workloads)
+	refreshProbes   int           // RunRefresh probes per slot on workloads that do not refresh
+	ladderReps      int           // calls per ladder rung
+	localReps       int           // in-process keygen/refresh repetitions
 
 	// wrapClient, when set, wraps the client's transport (the smoke test
 	// uses it to corrupt a response).
@@ -52,11 +53,12 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		warmup:        1500 * time.Millisecond,
-		batchProbes:   1,
-		refreshProbes: 2,
-		ladderReps:    15,
-		localReps:     3,
+		warmup:          1500 * time.Millisecond,
+		batchProbes:     2,
+		signProbeRounds: 2,
+		refreshProbes:   2,
+		ladderReps:      15,
+		localReps:       3,
 	}
 }
 
@@ -78,7 +80,7 @@ func main() {
 	var trace int
 	flag.StringVar(&cfg.workload, "workload", "sign-open", "workload: sign-open, sign-bulk or kms-churn")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed of the message and arrival schedules")
-	flag.Float64Var(&cfg.seconds, "seconds", 24, "measured seconds, split between the slices of the light and loaded phases")
+	flag.Float64Var(&cfg.seconds, "seconds", 22, "measured seconds, split between the slices of the light and loaded phases")
 	flag.IntVar(&trace, "trace", 0, "1 for the traced pass with per-layer metrics")
 	flag.Parse()
 	cfg.trace = trace == 1

@@ -2,7 +2,7 @@
 # Builds the benchmark from the sources of the checkout it sits in and
 # runs it from the checkout's root. Arguments go to the benchmark:
 #
-#   bash perfbench/run.sh --workload sign-open --seed 1 --seconds 24 --trace 0
+#   bash perfbench/run.sh --workload sign-open --seed 1 --seconds 22 --trace 0
 #
 # Everything the build and the run write (Go build cache, binary, temporary
 # registries, span dumps) stays under .bench_build/ in the checkout, and

@@ -5,14 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
+
+	tsig "repro"
+	"repro/service"
 )
 
 // benchmarkSpec is the part of BENCHMARK.json the smoke test checks
@@ -50,7 +52,7 @@ func tinyConfig(t *testing.T, workload string, trace bool) config {
 		workload: workload, seed: 7, seconds: 1, trace: trace,
 		root: "..", buildDir: t.TempDir(),
 		setups: 1, warmup: 200 * time.Millisecond,
-		batchProbes: 1, refreshProbes: 1, ladderReps: 2, localReps: 1,
+		batchProbes: 1, signProbeRounds: 1, refreshProbes: 1, ladderReps: 2, localReps: 1,
 	}
 }
 
@@ -132,32 +134,45 @@ func TestScheduleReproducible(t *testing.T) {
 	}
 }
 
-// flipOnce corrupts one byte of the signature in the first Sign
-// response it carries.
+// flipOnce flips one bit of one byte of the signature in the first
+// Sign response it carries. It takes the first flip, from the last byte
+// and the lowest bit on, after which the signature still decodes, so the
+// client accepts it and only the gate's verification can catch it.
 type flipOnce struct {
 	next    http.RoundTripper
-	flipped atomic.Bool
+	mu      sync.Mutex
+	flipped bool
 }
 
 func (f *flipOnce) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := f.next.RoundTrip(req)
-	if err != nil || !strings.HasSuffix(req.URL.Path, "/sign") || resp.StatusCode != http.StatusOK || f.flipped.Load() {
+	if err != nil || !strings.HasSuffix(req.URL.Path, "/sign") || resp.StatusCode != http.StatusOK {
 		return resp, err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.flipped {
+		return resp, nil
 	}
 	raw, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		return nil, err
 	}
-	var body map[string]any
+	var body service.SignatureResponse
 	if err := json.Unmarshal(raw, &body); err != nil {
 		return nil, err
 	}
-	var sig []byte
-	if s, ok := body["signature"].(string); ok {
-		if err := json.Unmarshal([]byte(`"`+s+`"`), &sig); err == nil && len(sig) > 0 && f.flipped.CompareAndSwap(false, true) {
-			sig[rand.Intn(len(sig))] ^= 0x01
-			body["signature"] = sig
+	sig := body.Signature
+flip:
+	for i := len(sig) - 1; i >= 0; i-- {
+		for bit := 0; bit < 8; bit++ {
+			sig[i] ^= 1 << bit
+			if _, err := tsig.UnmarshalSignature(sig); err == nil {
+				f.flipped = true
+				break flip
+			}
+			sig[i] ^= 1 << bit
 		}
 	}
 	if raw, err = json.Marshal(body); err != nil {
@@ -170,7 +185,8 @@ func (f *flipOnce) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestGateTripsOnFlippedSignature checks that one corrupted signature
-// fails the run instead of being counted as a failed operation.
+// fails the run in the gate's verification, instead of being counted as
+// a failed operation.
 func TestGateTripsOnFlippedSignature(t *testing.T) {
 	cfg := tinyConfig(t, "sign-open", false)
 	var flip *flipOnce
@@ -180,10 +196,10 @@ func TestGateTripsOnFlippedSignature(t *testing.T) {
 	}
 	var rep bytes.Buffer
 	res, err := run(context.Background(), cfg, &rep)
-	if flip == nil || !flip.flipped.Load() {
+	if flip == nil || !flip.flipped {
 		t.Fatal("no signature was corrupted")
 	}
-	if err == nil || res != nil || !strings.Contains(err.Error(), "correctness gate failed") {
-		t.Fatalf("run with a corrupted signature returned %+v, %v; want the correctness gate to fail\n%s", res, err, rep.String())
+	if err == nil || res != nil || !strings.Contains(err.Error(), "correctness gate failed") || !strings.Contains(err.Error(), "does not verify") {
+		t.Fatalf("run with a corrupted signature returned %+v, %v; want the gate's verification to fail\n%s", res, err, rep.String())
 	}
 }

@@ -37,7 +37,7 @@ const (
 
 	churnTenants    = 4
 	churnLightRate  = 12.0                    // kms-churn light phase and refresh windows, requests/s over all tenants
-	churnLoadedRate = 24.0                    // kms-churn loaded phase, requests/s over all tenants
+	churnLoadedRate = 18.0                    // kms-churn loaded phase, requests/s over all tenants (see README.md on its tail)
 	churnRepeat     = 0.85                    // share of kms-churn requests repeating a recent message
 	churnRecent     = 8                       // how far back a repeat may reach, per tenant
 	churnWindow     = 1200 * time.Millisecond // signing traffic started with each kms-churn refresh
@@ -64,10 +64,17 @@ type arrival struct {
 
 // openSchedule draws n = rate·dur arrivals as a Poisson process
 // conditioned on its count (sorted uniform offsets), spread uniformly
-// over tenants. With repeat > 0, round(repeat·n) requests drawn at
-// random re-send one of the tenant's last churnRecent distinct messages
-// (unless the tenant has none yet). Everything derives from rng, so a
-// seed fixes the schedule.
+// over tenants. With repeat > 0, all but m = n - round(repeat·n)
+// requests re-send one of the tenant's last churnRecent distinct
+// messages. A tenant's first request is fresh even where a repeat was
+// due, and the next fresh one that could repeat does so in its place,
+// so the share of repeats holds. The m fresh ones are spread
+// evenly: the arrivals are cut into m runs of consecutive arrivals, and
+// one drawn at random from each run is fresh. Drawn at random from the
+// whole schedule, they came in clusters (three fresh messages within
+// 40 ms, up to twice a phase), each of which queued on the nproc client
+// connections; so the tail jumped with the seed's count of clusters.
+// Everything derives from rng, so a seed fixes the schedule.
 func openSchedule(rng *rand.Rand, tag string, rate float64, dur time.Duration, tenants int, repeat float64) []arrival {
 	n := int(rate*dur.Seconds() + 0.5)
 	if n < 1 {
@@ -78,15 +85,26 @@ func openSchedule(rng *rand.Rand, tag string, rate float64, dur time.Duration, t
 		offsets[i] = rng.Float64() * float64(dur)
 	}
 	sort.Float64s(offsets)
-	repeats := make([]bool, n)
-	for _, i := range rng.Perm(n)[:int(repeat*float64(n)+0.5)] {
-		repeats[i] = true
+	fresh := make([]bool, n)
+	m := n - int(repeat*float64(n)+0.5)
+	for k := 0; k < m; k++ {
+		lo, hi := k*n/m, (k+1)*n/m
+		fresh[lo+rng.Intn(hi-lo)] = true
 	}
 	recent := make([][][]byte, tenants)
+	owed := 0 // repeats due that found their tenant with no message yet
 	out := make([]arrival, n)
 	for i := range out {
 		a := arrival{At: time.Duration(offsets[i]), Tenant: rng.Intn(tenants)}
-		if r := recent[a.Tenant]; len(r) > 0 && repeats[i] {
+		r := recent[a.Tenant]
+		switch {
+		case len(r) == 0 && !fresh[i]:
+			owed++
+		case len(r) > 0 && fresh[i] && owed > 0:
+			owed--
+			fresh[i] = false
+		}
+		if len(r) > 0 && !fresh[i] {
 			a.Msg, a.Repeat = r[rng.Intn(len(r))], true
 		} else {
 			a.Msg = seededMessage(rng, tag, i)
@@ -166,6 +184,8 @@ type runner struct {
 	probes        struct {
 		batches   []*record
 		refreshes []refreshRun
+		signs     []*record     // closed-loop Sign throughput probes
+		signBusy  time.Duration // their wall time, summed
 	}
 	afterRefresh []*record // one fresh Sign of the refreshed tenant after each refresh
 	probeDelta   counters  // metric deltas over the probes
@@ -203,7 +223,7 @@ func tenantsFor(workload string) int {
 // about 3 s.
 func setupsFor(workload string) int {
 	if workload == "kms-churn" {
-		return 3
+		return 2
 	}
 	return 5
 }
@@ -554,8 +574,11 @@ func (r *runner) sliceDur() time.Duration {
 // runPhases warms both shapes up, then times them in alternating slices,
 // light first, so that both sample the host over the whole run. Probes
 // run before the warm-up and after every slice, so that they sample it
-// too. slice runs slice k of phase i and returns its records and start.
+// too; an untimed batch goes first, so that the first probe's timed
+// batches do not pay for the first batch after the keygen. slice runs
+// slice k of phase i and returns its records and start.
 func (r *runner) runPhases(ctx context.Context, warm func(i int), slice func(i, k int) ([]*record, time.Time, time.Duration)) error {
+	r.warmBatch(ctx, "warm-batch-setup")
 	if err := r.probe(ctx, 0); err != nil {
 		return err
 	}
@@ -701,19 +724,28 @@ func (r *runner) refreshWindow(ctx context.Context, k int) {
 }
 
 // probe runs, between and around the timed slices, the work the
-// workload's own traffic does not do, so that every workload reports
-// every end-to-end metric. On kms-churn (from slot 1 on) that is the
-// next refresh under signing traffic; elsewhere it is cfg.refreshProbes
-// refreshes on the quiet fleet, each followed by one fresh Sign. Then
-// one untimed SignBatch of warmBatch messages runs, because the first
-// batch after a refresh ran up to half again as long as the next
-// ones, and last, unless the workload batches, cfg.batchProbes timed
-// SignBatch calls. Spreading the probes over the run samples the host
-// at several moments.
+// workload's own traffic does not measure, so that every workload
+// reports every end-to-end metric. First cfg.batchProbes timed SignBatch
+// calls on the quiet fleet; then, on the open-loop workloads, a
+// closed-loop Sign throughput probe (see signProbe); then the refreshes:
+// on kms-churn (from slot 1 on) the next refresh under signing traffic,
+// elsewhere cfg.refreshProbes refreshes on the quiet fleet, each
+// followed by one fresh Sign. Last comes one untimed SignBatch of
+// warmBatch messages, because the first batch after a refresh ran up to
+// half again as long as the next ones; so no timed batch, probe or
+// slice, is the first after a refresh. Spreading the probes over the run
+// samples the host at several moments.
 func (r *runner) probe(ctx context.Context, slot int) error {
 	before, err := r.fleet.scrapeAll(ctx)
 	if err != nil {
 		return err
+	}
+	next := r.batchSource(fmt.Sprintf("probe-%d", slot))
+	for k := 0; k < r.cfg.batchProbes; k++ {
+		r.probes.batches = append(r.probes.batches, r.signBatch(ctx, 0, next(), true))
+	}
+	if r.cfg.workload != "sign-bulk" {
+		r.signProbe(ctx, slot)
 	}
 	switch {
 	case r.cfg.workload != "kms-churn":
@@ -725,13 +757,7 @@ func (r *runner) probe(ctx context.Context, slot int) error {
 	case slot > 0:
 		r.refreshWindow(ctx, slot-1)
 	}
-	next := r.batchSource(fmt.Sprintf("probe-%d", slot))
-	r.countWarm([]*record{r.signBatch(ctx, 0, next()[:warmBatch], false)})
-	if r.cfg.workload != "sign-bulk" {
-		for k := 0; k < r.cfg.batchProbes; k++ {
-			r.probes.batches = append(r.probes.batches, r.signBatch(ctx, 0, next(), true))
-		}
-	}
+	r.warmBatch(ctx, fmt.Sprintf("warm-batch-%d", slot))
 	after, err := r.fleet.scrapeAll(ctx)
 	if err != nil {
 		return err
@@ -743,4 +769,39 @@ func (r *runner) probe(ctx context.Context, slot int) error {
 		r.probeDelta[k] += v - before[k]
 	}
 	return nil
+}
+
+// warmBatch sends one untimed SignBatch of warmBatch messages.
+func (r *runner) warmBatch(ctx context.Context, tag string) {
+	r.countWarm([]*record{r.signBatch(ctx, 0, r.batchSource(tag)()[:warmBatch], false)})
+}
+
+// signProbe measures the signing throughput of an open-loop workload,
+// whose own delivered rate is its offered rate: nproc clients each send
+// cfg.signProbeRounds Signs of distinct messages back to back, round
+// robin over the tenants, and the probe's wall time is added up for
+// sigs_per_s.
+func (r *runner) signProbe(ctx context.Context, slot int) {
+	tag := fmt.Sprintf("probe-sign-%d", slot)
+	rng := r.scheduleRNG(tag)
+	recs := make([]*record, r.workers*r.cfg.signProbeRounds)
+	msgs := make([][]byte, len(recs))
+	for i := range msgs {
+		msgs[i] = seededMessage(rng, tag, i)
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for c := 0; c < r.workers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < r.cfg.signProbeRounds; k++ {
+				i := k*r.workers + c
+				recs[i] = r.sign(ctx, i%len(r.clients), msgs[i], time.Time{}, false)
+			}
+		}()
+	}
+	wg.Wait()
+	r.probes.signBusy += time.Since(start)
+	r.probes.signs = append(r.probes.signs, recs...)
 }
