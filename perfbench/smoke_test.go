@@ -134,6 +134,23 @@ func TestScheduleReproducible(t *testing.T) {
 	}
 }
 
+// TestRefreshTrafficSkipsRefreshedTenant checks that the signing traffic
+// of each kms-churn refresh goes to every tenant but the refreshed one.
+func TestRefreshTrafficSkipsRefreshedTenant(t *testing.T) {
+	r := &runner{cfg: config{seed: 42}}
+	for k := 0; k < 2*phaseSlices; k++ {
+		seen := map[int]bool{}
+		for _, a := range r.refreshTraffic(k) {
+			seen[a.Tenant] = true
+		}
+		for tn := 0; tn < churnTenants; tn++ {
+			if want := tn != k%churnTenants; seen[tn] != want {
+				t.Errorf("refresh %d: tenant %d has traffic %v, want %v", k, tn, seen[tn], want)
+			}
+		}
+	}
+}
+
 // flipOnce flips one bit of one byte of the signature in the first
 // Sign response it carries. It takes the first flip, from the last byte
 // and the lowest bit on, after which the signature still decodes, so the
